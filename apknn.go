@@ -20,8 +20,7 @@
 // errors.Is; Stats returns a serving snapshot. OpenLive returns a mutable
 // index instead: Insert/Delete apply immediately through a delta segment
 // and tombstone set, and a background compactor folds the churn into fresh
-// base compilations. The pre-Backend NewSearcher/Options surface remains as
-// a deprecated shim.
+// base compilations.
 //
 // See README.md for the system inventory, the backend guide, and the
 // paper-vs-reproduced audit of the evaluation tables.
@@ -64,7 +63,7 @@ const (
 // callers handling untrusted input should use ExactSearchContext, which
 // returns ErrBadK/ErrDimMismatch instead.
 func ExactSearch(ds *Dataset, queries []Vector, k, workers int) [][]Neighbor {
-	out, err := knn.Batch(ds, queries, k, workers)
+	out, err := ExactSearchContext(context.Background(), ds, queries, k, workers)
 	if err != nil {
 		panic(fmt.Sprintf("apknn.ExactSearch: %v", err))
 	}
@@ -73,9 +72,10 @@ func ExactSearch(ds *Dataset, queries []Vector, k, workers int) [][]Neighbor {
 
 // ExactSearchContext is the error-returning, cancelable form of ExactSearch:
 // a non-positive k yields ErrBadK, a mismatched query ErrDimMismatch, and a
-// canceled context ErrCanceled, all matchable with errors.Is.
+// canceled context ErrCanceled, all matchable with errors.Is. workers < 1
+// means a serial scan.
 func ExactSearchContext(ctx context.Context, ds *Dataset, queries []Vector, k, workers int) ([][]Neighbor, error) {
-	return knn.BatchContext(ctx, ds, queries, k, workers)
+	return knn.ScanBatch(ctx, ds, queries, k, knn.ScanConfig{Workers: max(workers, 1)})
 }
 
 // Recall returns |got ∩ exact| / |exact| by vector ID.

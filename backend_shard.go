@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ap"
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -59,7 +60,11 @@ func newShardIndex(ds *Dataset, cfg Config, kind BackendKind, fast bool, default
 }
 
 func (s *shardIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
+	// One span around the whole board fan-out, as on the cpu backend; a
+	// nil-safe no-op when the context carries no trace.
+	ksp := obs.StartSpan(ctx, "kernel_scan")
 	res, err := s.eng.Query(ctx, queries, k)
+	ksp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -96,9 +101,3 @@ func (s *shardIndex) Stats() Stats {
 	st.PerBoardTime = s.eng.BoardTimes()
 	return st
 }
-
-// Partitions reports how many board configurations the dataset spans.
-func (s *shardIndex) Partitions() int { return s.eng.Partitions() }
-
-// Boards reports how many boards the dataset is sharded across.
-func (s *shardIndex) Boards() int { return s.eng.Shards() }

@@ -65,27 +65,37 @@ func (f *FastEngine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, er
 
 // QueryEncoded answers a pre-validated batch without re-checking dimensions;
 // the symbol stream, if any, is ignored — this engine models the board
-// semantics directly from Hamming distances. Like the board-backed sweep,
-// cancellation is honored at partition boundaries.
+// semantics directly from Hamming distances. The sweep keeps the board's
+// loop order (§III-C): each configuration's slice of the packed slab is
+// loaded once and the whole batch streams over it through the blocked
+// kernel, every query accumulating into one bounded heap across the sweep.
+// Like the board-backed sweep, cancellation is honored at partition
+// boundaries.
 func (f *FastEngine) QueryEncoded(ctx context.Context, batch *EncodedBatch, k int) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: got k=%d: %w", k, aperr.ErrBadK)
 	}
 	queries := batch.Queries()
 	results := make([][]knn.Neighbor, len(queries))
+	if f.ds.Len() == 0 {
+		return results, nil
+	}
+	heaps := make([]*knn.TopK, len(queries))
+	for qi := range heaps {
+		heaps[qi] = knn.NewTopK(k)
+	}
+	words, wpv := f.ds.Words(), f.ds.WordsPerVector()
 	for _, r := range PartitionRanges(f.ds.Len(), f.capacity) {
 		if err := ctx.Err(); err != nil {
 			return nil, aperr.Canceled(err)
 		}
 		lo, hi := r[0], r[1]
-		part := f.ds.Slice(lo, hi)
 		for qi, q := range queries {
-			local := knn.Linear(part, q, k)
-			for i := range local {
-				local[i].ID += lo
-			}
-			results[qi] = knn.MergeTopK(results[qi], local, k)
+			knn.ScanBlock(heaps[qi], words[lo*wpv:hi*wpv], wpv, q.Words(), lo, hi-lo)
 		}
+	}
+	for qi, t := range heaps {
+		results[qi] = t.Neighbors()
 	}
 	return results, nil
 }

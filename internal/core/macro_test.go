@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -318,7 +319,7 @@ func TestEngineMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, k, 1)
+	want, err := knn.ScanBatch(context.Background(), ds, queries, k, knn.ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,6 +365,9 @@ func TestFastEngineMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi := range queries {
+		if len(got[qi]) != len(want[qi]) {
+			t.Fatalf("query %d: engine returned %d results, fast %d", qi, len(got[qi]), len(want[qi]))
+		}
 		for j := range want[qi] {
 			if got[qi][j] != want[qi][j] {
 				t.Errorf("query %d rank %d: engine %v, fast %v", qi, j, got[qi][j], want[qi][j])

@@ -25,7 +25,7 @@ func TestSearchMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, 5, 1)
+	want, err := knn.ScanBatch(context.Background(), ds, queries, 5, knn.ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSearchTieBreakMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, 12, 1)
+	want, err := knn.ScanBatch(context.Background(), ds, queries, 12, knn.ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

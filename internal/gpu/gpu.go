@@ -90,7 +90,7 @@ func (d *Device) Search(ctx context.Context, ds *bitvec.Dataset, queries []bitve
 			return nil, fmt.Errorf("gpu: query %d dim %d != dataset dim %d: %w", i, q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 		}
 	}
-	neighbors, err := knn.BatchContext(ctx, ds, queries, k, d.cfg.Workers)
+	neighbors, err := knn.ScanBatch(ctx, ds, queries, k, knn.ScanConfig{Workers: d.cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

@@ -91,21 +91,19 @@ func TestScanBatchMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestBatchBadK is the process-survival regression: Batch/BatchContext/Scan
-// with k <= 0 must return aperr.ErrBadK from the calling goroutine — the old
-// pass-through to Linear panicked inside a worker goroutine and took the
-// whole process (apserve included) down.
+// TestBatchBadK is the process-survival regression: the batch and
+// single-query kernel entry points with k <= 0 must return aperr.ErrBadK
+// from the calling goroutine — the old pass-through to Linear panicked
+// inside a worker goroutine and took the whole process (apserve included)
+// down.
 func TestBatchBadK(t *testing.T) {
 	rng := stats.NewRNG(5)
 	ds := bitvec.RandomDataset(rng, 5000, 64)
 	queries := []bitvec.Vector{bitvec.Random(rng, 64), bitvec.Random(rng, 64)}
 	for _, k := range []int{0, -1, -100} {
-		for _, workers := range []int{1, 4} {
-			if _, err := Batch(ds, queries, k, workers); !errors.Is(err, aperr.ErrBadK) {
-				t.Errorf("Batch(k=%d, workers=%d) err = %v, want ErrBadK", k, workers, err)
-			}
-			if _, err := BatchContext(context.Background(), ds, queries, k, workers); !errors.Is(err, aperr.ErrBadK) {
-				t.Errorf("BatchContext(k=%d, workers=%d) err = %v, want ErrBadK", k, workers, err)
+		for _, workers := range []int{0, 1, 4} {
+			if _, err := ScanBatch(context.Background(), ds, queries, k, ScanConfig{Workers: workers}); !errors.Is(err, aperr.ErrBadK) {
+				t.Errorf("ScanBatch(k=%d, workers=%d) err = %v, want ErrBadK", k, workers, err)
 			}
 		}
 		if _, err := Scan(ds, queries[0], k, ScanConfig{}); !errors.Is(err, aperr.ErrBadK) {

@@ -1,14 +1,13 @@
 // Package knn implements the exact CPU k-nearest-neighbor baselines the
 // paper compares against (§IV-C): linear Hamming-distance scans with
-// XOR+POPCOUNT, bounded-heap top-k selection, the O(n log n) priority-queue
-// sort the paper attributes to von-Neumann architectures (§III-B), and
-// multi-threaded batch drivers exploiting both query- and data-level
-// parallelism (§II-A).
+// XOR+POPCOUNT and bounded-heap top-k selection — Linear, the readable
+// oracle, and the cache-blocked kernel (kernel.go) that exploits both
+// query- and data-level parallelism (§II-A). The full-sort and k-selection
+// alternatives of §III-B survive as test-only ablation baselines.
 package knn
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -95,87 +94,9 @@ func hamming(a, b []uint64) int {
 	return d
 }
 
-// LinearFullSort is the naive baseline the paper ascribes to von-Neumann
-// sorting (§III-B): compute every distance, then fully sort — O(n log n)
-// per query instead of O(n log k).
-func LinearFullSort(ds *bitvec.Dataset, q bitvec.Vector, k int) []Neighbor {
-	all := make([]Neighbor, ds.Len())
-	qw := q.Words()
-	for i := 0; i < ds.Len(); i++ {
-		all[i] = Neighbor{ID: i, Dist: hamming(ds.WordsAt(i), qw)}
-	}
-	SortNeighbors(all)
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
-}
-
-// LinearSelect uses quickselect k-selection (the "alternative algorithms
-// like k-selection" of §III-B): average O(n) selection, then an O(k log k)
-// sort of the survivors.
-func LinearSelect(ds *bitvec.Dataset, q bitvec.Vector, k int) []Neighbor {
-	all := make([]Neighbor, ds.Len())
-	qw := q.Words()
-	for i := 0; i < ds.Len(); i++ {
-		all[i] = Neighbor{ID: i, Dist: hamming(ds.WordsAt(i), qw)}
-	}
-	if k > len(all) {
-		k = len(all)
-	}
-	quickselect(all, k)
-	out := all[:k]
-	SortNeighbors(out)
-	return out
-}
-
-// quickselect partitions ns so its first k elements are the k smallest under
-// Neighbor.Less, in no particular order. Median-of-three pivoting keeps it
-// allocation-free and deterministic.
-func quickselect(ns []Neighbor, k int) {
-	lo, hi := 0, len(ns)
-	for hi-lo > 1 && k > lo && k < hi {
-		p := partition(ns, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p
-		}
-	}
-}
-
-func partition(ns []Neighbor, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	// Median-of-three pivot.
-	if ns[mid].Less(ns[lo]) {
-		ns[mid], ns[lo] = ns[lo], ns[mid]
-	}
-	if ns[last].Less(ns[lo]) {
-		ns[last], ns[lo] = ns[lo], ns[last]
-	}
-	if ns[last].Less(ns[mid]) {
-		ns[last], ns[mid] = ns[mid], ns[last]
-	}
-	pivot := ns[mid]
-	ns[mid], ns[last] = ns[last], ns[mid]
-	store := lo
-	for i := lo; i < last; i++ {
-		if ns[i].Less(pivot) {
-			ns[i], ns[store] = ns[store], ns[i]
-			store++
-		}
-	}
-	ns[store], ns[last] = ns[last], ns[store]
-	return store
-}
-
 // MergeTopK merges two (Dist, ID)-sorted neighbor lists, keeping the k best.
-// This is the host-side merge the partial-reconfiguration driver performs
-// across board configurations (§III-C). A non-positive k keeps nothing.
+// This is the host-side merge of per-board top-k lists (§III-C) and of the
+// kernel's per-core partials. A non-positive k keeps nothing.
 func MergeTopK(a, b []Neighbor, k int) []Neighbor {
 	if k <= 0 {
 		return nil
@@ -199,33 +120,4 @@ func MergeTopK(a, b []Neighbor, k int) []Neighbor {
 		}
 	}
 	return out
-}
-
-// Batch answers many queries through the blocked kernel, exploiting query-
-// and data-level parallelism by batch shape (§II-A; see ScanBatch). Unlike
-// Linear it never panics: a non-positive k returns aperr.ErrBadK from the
-// calling goroutine — the historical pass-through to Linear fired the panic
-// inside a worker goroutine, which no caller can recover and which killed
-// the whole serving process.
-func Batch(ds *bitvec.Dataset, queries []bitvec.Vector, k, workers int) ([][]Neighbor, error) {
-	return BatchContext(context.Background(), ds, queries, k, workers)
-}
-
-// BatchContext is Batch with cancellation: the scan stops at the next query
-// or block boundary once ctx is canceled and returns an error wrapping
-// aperr.ErrCanceled instead of a partially filled result set. workers <= 1
-// keeps the historical meaning of a serial scan (ScanConfig's auto-sizing
-// applies only through the kernel entry points).
-func BatchContext(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers int) ([][]Neighbor, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return ScanBatch(ctx, ds, queries, k, ScanConfig{Workers: workers})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

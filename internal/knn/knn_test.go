@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,8 @@ func TestMergeTopKProperty(t *testing.T) {
 	}
 }
 
+// TestBatch pins ScanBatch on a small dataset, serial and query-parallel,
+// against the full-sort reference.
 func TestBatch(t *testing.T) {
 	rng := stats.NewRNG(77)
 	ds := bitvec.RandomDataset(rng, 100, 64)
@@ -155,12 +158,12 @@ func TestBatch(t *testing.T) {
 		queries[i] = bitvec.Random(rng, 64)
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := Batch(ds, queries, 3, workers)
+		got, err := ScanBatch(context.Background(), ds, queries, 3, ScanConfig{Workers: workers})
 		if err != nil {
-			t.Fatalf("Batch(workers=%d): %v", workers, err)
+			t.Fatalf("ScanBatch(workers=%d): %v", workers, err)
 		}
 		if len(got) != len(queries) {
-			t.Fatalf("Batch returned %d result sets", len(got))
+			t.Fatalf("ScanBatch returned %d result sets", len(got))
 		}
 		for i, q := range queries {
 			if !equalNeighbors(got[i], refKNN(ds, q, 3)) {
@@ -296,4 +299,110 @@ func TestMergeTopKRandomizedAgainstOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// LinearFullSort and LinearSelect are the two host-side top-k alternatives
+// the paper weighs against the bounded heap (§III-B). They are ablation
+// baselines only — TestVariantsMatchReference pins them to the oracle and
+// BenchmarkSortAblation times them — so they live with the tests.
+
+// LinearFullSort is the naive baseline the paper ascribes to von-Neumann
+// sorting (§III-B): compute every distance, then fully sort — O(n log n)
+// per query instead of O(n log k).
+func LinearFullSort(ds *bitvec.Dataset, q bitvec.Vector, k int) []Neighbor {
+	all := make([]Neighbor, ds.Len())
+	qw := q.Words()
+	for i := 0; i < ds.Len(); i++ {
+		all[i] = Neighbor{ID: i, Dist: hamming(ds.WordsAt(i), qw)}
+	}
+	SortNeighbors(all)
+	if k > len(all) {
+		k = len(all)
+	}
+	return all[:k]
+}
+
+// LinearSelect uses quickselect k-selection (the "alternative algorithms
+// like k-selection" of §III-B): average O(n) selection, then an O(k log k)
+// sort of the survivors.
+func LinearSelect(ds *bitvec.Dataset, q bitvec.Vector, k int) []Neighbor {
+	all := make([]Neighbor, ds.Len())
+	qw := q.Words()
+	for i := 0; i < ds.Len(); i++ {
+		all[i] = Neighbor{ID: i, Dist: hamming(ds.WordsAt(i), qw)}
+	}
+	if k > len(all) {
+		k = len(all)
+	}
+	quickselect(all, k)
+	out := all[:k]
+	SortNeighbors(out)
+	return out
+}
+
+// quickselect partitions ns so its first k elements are the k smallest under
+// Neighbor.Less, in no particular order. Median-of-three pivoting keeps it
+// allocation-free and deterministic.
+func quickselect(ns []Neighbor, k int) {
+	lo, hi := 0, len(ns)
+	for hi-lo > 1 && k > lo && k < hi {
+		p := partition(ns, lo, hi)
+		switch {
+		case p == k-1:
+			return
+		case p < k-1:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
+}
+
+func partition(ns []Neighbor, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	last := hi - 1
+	// Median-of-three pivot.
+	if ns[mid].Less(ns[lo]) {
+		ns[mid], ns[lo] = ns[lo], ns[mid]
+	}
+	if ns[last].Less(ns[lo]) {
+		ns[last], ns[lo] = ns[lo], ns[last]
+	}
+	if ns[last].Less(ns[mid]) {
+		ns[last], ns[mid] = ns[mid], ns[last]
+	}
+	pivot := ns[mid]
+	ns[mid], ns[last] = ns[last], ns[mid]
+	store := lo
+	for i := lo; i < last; i++ {
+		if ns[i].Less(pivot) {
+			ns[i], ns[store] = ns[store], ns[i]
+			store++
+		}
+	}
+	ns[store], ns[last] = ns[last], ns[store]
+	return store
+}
+
+// BenchmarkSortAblation compares the three host-side top-k strategies the
+// paper discusses (§III-B): full sort, bounded heap, k-selection.
+func BenchmarkSortAblation(b *testing.B) {
+	rng := stats.NewRNG(12)
+	ds := bitvec.RandomDataset(rng, 1<<14, 64)
+	q := bitvec.Random(rng, 64)
+	b.Run("FullSort", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			LinearFullSort(ds, q, 16)
+		}
+	})
+	b.Run("BoundedHeap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Linear(ds, q, 16)
+		}
+	})
+	b.Run("QuickSelect", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			LinearSelect(ds, q, 16)
+		}
+	})
 }

@@ -74,6 +74,18 @@ func TestSpanNilSafe(t *testing.T) {
 	}
 }
 
+// TestStartSpanUntracedAllocatesNothing pins the hot-path bound the backends
+// rely on when they wrap every engine call in a kernel_scan span: an
+// untraced request — request ID set, no trace — pays no allocation.
+func TestStartSpanUntracedAllocatesNothing(t *testing.T) {
+	ctx := WithRequestID(context.Background(), "untraced")
+	if allocs := testing.AllocsPerRun(100, func() {
+		StartSpan(ctx, "kernel_scan").End()
+	}); allocs != 0 {
+		t.Errorf("untraced StartSpan/End allocated %v times per call", allocs)
+	}
+}
+
 func TestSpanTreeWire(t *testing.T) {
 	root := NewSpan("request")
 	root.SetAttr("node", "shard0-a")

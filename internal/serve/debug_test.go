@@ -36,12 +36,19 @@ func pollTraces(t *testing.T, c *Client, query url.Values) *DebugTracesResponse 
 }
 
 // TestDebugTracesSpanTree drives one search through the full serving stack
-// on the CPU backend and asserts the flight recorder serves its complete
-// span tree: queue wait and flush assembly from the micro-batcher, the
-// shared backend flush span, and the kernel scan nested inside it.
+// on the CPU backend and on the default sharded backend, and asserts the
+// flight recorder serves its complete span tree: queue wait and flush
+// assembly from the micro-batcher, the shared backend flush span, and the
+// kernel scan nested inside it.
 func TestDebugTracesSpanTree(t *testing.T) {
+	for _, kind := range []apknn.BackendKind{apknn.CPU, apknn.Sharded} {
+		t.Run(string(kind), func(t *testing.T) { testDebugTracesSpanTree(t, kind) })
+	}
+}
+
+func testDebugTracesSpanTree(t *testing.T, kind apknn.BackendKind) {
 	ds := apknn.RandomDataset(11, 1500, 32)
-	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.CPU))
+	idx, err := apknn.Open(ds, apknn.WithBackend(kind))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +65,18 @@ func TestDebugTracesSpanTree(t *testing.T) {
 	client := &Client{BaseURL: ts.URL}
 
 	q := apknn.RandomQueries(12, 1, 32)[0]
-	ctx := obs.WithRequestID(context.Background(), "debug-e2e-1")
+	traceID := "debug-e2e-" + string(kind)
+	ctx := obs.WithRequestID(context.Background(), traceID)
 	if _, err := client.Search(ctx, q, 3); err != nil {
 		t.Fatal(err)
 	}
 
-	dt := pollTraces(t, client, url.Values{"trace_id": {"debug-e2e-1"}})
+	dt := pollTraces(t, client, url.Values{"trace_id": {traceID}})
 	if dt.Node != "debug-node" || dt.Recorded < 1 {
 		t.Fatalf("response header block = %+v", dt)
 	}
 	rec := dt.Traces[0]
-	if rec.TraceID != "debug-e2e-1" || rec.Status != 200 {
+	if rec.TraceID != traceID || rec.Status != 200 {
 		t.Fatalf("record = %+v", rec)
 	}
 	root := rec.Root
